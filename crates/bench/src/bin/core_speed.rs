@@ -6,7 +6,8 @@
 //! bit-identical cycles and instruction counts (the differential suite in
 //! `crates/core/tests/event_engine_equiv.rs` is the fine-grained gate on
 //! the full statistics) and records the comparison in
-//! `BENCH_core_speed.json`.
+//! `BENCH_core_speed.json`, together with the host's core count and the
+//! measured commit (`git describe --always --dirty`).
 //!
 //! ```sh
 //! cargo run --release -p swiftsim-bench --bin core_speed
@@ -105,6 +106,21 @@ fn measure(mode: &str, preset: &str, path: &std::path::Path) -> Measurement {
     }
 }
 
+/// The checked-out commit, marked `-dirty` when the tree has uncommitted
+/// changes, or `"unknown"` outside a git checkout.
+fn describe_commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .stderr(std::process::Stdio::null())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_owned())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_owned())
+}
+
 /// One finished (workload, preset) comparison.
 struct Cell {
     app: &'static str,
@@ -192,8 +208,11 @@ fn main() {
         })
         .collect();
 
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"core_speed\",\n");
+    json.push_str(&format!("  \"host_cores\": {host_cores},\n"));
+    json.push_str(&format!("  \"commit\": \"{}\",\n", describe_commit()));
     json.push_str(&format!("  \"scale\": \"{:?}\",\n", knobs.scale));
     json.push_str(&format!("  \"apps\": {},\n", workloads.len()));
     json.push_str("  \"results\": [\n");

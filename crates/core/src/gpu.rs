@@ -29,6 +29,22 @@
 //! suite (`tests/event_engine_equiv.rs`) enforces. Skipped cycles are also
 //! attributed to [`ProfModule::CycleSkip`] so profiles show what the
 //! engine jumped over.
+//!
+//! ## The wake set
+//!
+//! Most SMs of a small grid never hold a block, and the clock jump above
+//! only fires when *every* SM is quiet. So the loop also keeps a
+//! [`WakeSet`] of the SMs that can change state and ticks only those, in
+//! ascending index order (the dense loop's order, so the memory system
+//! sees the same calls in the same order). An SM joins the set when it
+//! gets a block, a memory completion or (two-phase engine) a deferred
+//! `Done` reply; it leaves after a tick that proves it dormant
+//! ([`SmCore::is_dormant`]: quiescence cache primed with a zero delta,
+//! nothing pending inside it). Every tick such an SM skips would have
+//! replayed that zero delta, so leaving it out changes no statistic, and a
+//! clock jump neither snapshots nor replays it. Under
+//! [`SkipPolicy::Dense`] the set starts full and no SM ever turns dormant,
+//! so the reference clock still ticks every SM every cycle.
 
 use crate::alu::{AluModel, AnalyticalAlu, CycleAccurateAlu};
 use crate::block_scheduler::{BlockScheduler, Occupancy};
@@ -38,8 +54,8 @@ use crate::mem_system::{MemCompletion, MemorySystem};
 use crate::scheduler::make_policy;
 use crate::sm::{SmCore, SmStats, WbTarget};
 use crate::Cycle;
-use std::collections::HashMap;
 use swiftsim_config::GpuConfig;
+use swiftsim_mem::FastMap;
 use swiftsim_metrics::{ProfModule, Profiler};
 use swiftsim_trace::KernelTrace;
 
@@ -65,6 +81,86 @@ pub(crate) fn make_alu(kind: AluModelKind, cfg: &GpuConfig) -> Box<dyn AluModel>
     match kind {
         AluModelKind::CycleAccurate => Box::new(CycleAccurateAlu::new(&cfg.sm)),
         AluModelKind::Analytical => Box::new(AnalyticalAlu::new(&cfg.sm)),
+    }
+}
+
+/// The SMs of one shard that can change state: a bitset over local SM
+/// indices, walked in ascending order. See the module docs.
+pub(crate) struct WakeSet {
+    words: Vec<u64>,
+}
+
+/// Indices of the set bits of `word`, ascending.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
+}
+
+impl WakeSet {
+    /// A set over `num_sms` SMs: full under the dense clock, empty under the
+    /// event-driven one (SMs join with their first block).
+    pub(crate) fn new(num_sms: usize, policy: SkipPolicy) -> WakeSet {
+        let mut set = WakeSet {
+            words: vec![0; num_sms.div_ceil(64)],
+        };
+        if policy == SkipPolicy::Dense {
+            (0..num_sms).for_each(|sm| set.wake(sm));
+        }
+        set
+    }
+
+    /// Add SM `sm` to the set.
+    pub(crate) fn wake(&mut self, sm: usize) {
+        self.words[sm / 64] |= 1 << (sm % 64);
+    }
+
+    /// Call `tick` on every SM in the set, in ascending index order, and
+    /// drop the SMs the tick left dormant.
+    pub(crate) fn tick<'a>(
+        &mut self,
+        sms: &mut [SmCore<'a>],
+        mut tick: impl FnMut(usize, &mut SmCore<'a>),
+    ) {
+        for (w, word) in self.words.iter_mut().enumerate() {
+            for bit in set_bits(*word) {
+                let sm = &mut sms[w * 64 + bit];
+                tick(w * 64 + bit, sm);
+                if sm.is_dormant() {
+                    *word &= !(1 << bit);
+                }
+            }
+        }
+    }
+
+    /// Stat snapshots of the SMs in the set, taken when a clock jump is
+    /// armed (SMs outside it have a zero delta and need no replay).
+    pub(crate) fn snapshot(&self, sms: &[SmCore<'_>]) -> Vec<(usize, SmStats)> {
+        let mut snaps = Vec::new();
+        for (w, &word) in self.words.iter().enumerate() {
+            snaps.extend(set_bits(word).map(|bit| (w * 64 + bit, sms[w * 64 + bit].stats())));
+        }
+        snaps
+    }
+}
+
+/// Complete an armed clock jump: replay each snapshotted SM's measured
+/// quiescent delta `extra` more times.
+pub(crate) fn replay_quiescent(
+    sms: &mut [SmCore<'_>],
+    snaps: &[(usize, SmStats)],
+    extra: Cycle,
+    prof: &mut Profiler,
+) {
+    for (sm, snap) in snaps {
+        sms[*sm].scale_quiescent_delta(snap, extra, prof);
+    }
+    if extra > 0 {
+        prof.add_cycles(ProfModule::CycleSkip, extra);
     }
 }
 
@@ -123,13 +219,14 @@ pub(crate) fn run_kernel_shard(
         .collect();
 
     let mut bs = BlockScheduler::new(num_local_sms, block_indices.len(), occupancy.blocks_per_sm);
-    let mut tokens: HashMap<u64, (usize, WbTarget)> = HashMap::new();
+    let mut wake = WakeSet::new(num_local_sms, fidelity.skip_policy);
+    let mut tokens: FastMap<u64, (usize, WbTarget)> = FastMap::default();
     let mut completions: Vec<MemCompletion> = Vec::new();
     let mut now = start;
     let mut idle_streak = 0u32;
-    // An armed clock jump: `(target, per-SM stat snapshots)` captured at
-    // the end of a quiet iteration. See the module docs.
-    let mut plan: Option<(Cycle, Vec<SmStats>)> = None;
+    // An armed clock jump: `(target, stat snapshots of the awake SMs)`
+    // captured at the end of a quiet iteration. See the module docs.
+    let mut plan: Option<(Cycle, Vec<(usize, SmStats)>)> = None;
 
     loop {
         // 1. Dispatch pending blocks to SMs with free slots (Block
@@ -143,6 +240,7 @@ pub(crate) fn run_kernel_shard(
                         Some(local_idx) => {
                             let global = block_indices[local_idx];
                             sm.install_block(global, &blocks[global], now);
+                            wake.wake(sm_idx);
                             installed = true;
                         }
                         None => break,
@@ -161,23 +259,23 @@ pub(crate) fn run_kernel_shard(
         for c in completions.drain(..) {
             if let Some((sm, target)) = tokens.remove(&c.token) {
                 sms[sm].writeback_now(target);
+                wake.wake(sm);
             }
         }
 
-        // 3. Tick every SM. Warp-scheduler, ALU, and LD/ST time is
+        // 3. Tick every awake SM. Warp-scheduler, ALU, and LD/ST time is
         //    attributed inside SmCore::tick.
         let mut issued = 0u32;
         let mut wakeup: Option<Cycle> = None;
         let mut any_unit_busy = false;
         let mut any_completed = false;
         let mut any_tokens = false;
-        for (sm_idx, sm) in sms.iter_mut().enumerate() {
+        wake.tick(&mut sms, |sm_idx, sm| {
             let outcome = sm.tick(now, mem, prof);
             issued += outcome.issued;
             any_unit_busy |= outcome.unit_busy_stall;
-            for global in outcome.completed_blocks {
-                let _ = global;
-                any_completed = true;
+            any_completed |= outcome.completed_blocks > 0;
+            for _ in 0..outcome.completed_blocks {
                 bs.complete(sm_idx);
             }
             for (token, target) in outcome.new_tokens {
@@ -188,7 +286,7 @@ pub(crate) fn run_kernel_shard(
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
             };
-        }
+        });
 
         // 4. Termination: every block completed and the memory system is
         //    quiet.
@@ -221,13 +319,7 @@ pub(crate) fn run_kernel_shard(
                 // every cycle in (now, target) would repeat it exactly
                 // (no writeback, memory event, or unpark can occur before
                 // `target` by construction). Replay its delta and jump.
-                let extra = target - now - 1;
-                for (sm, snap) in sms.iter_mut().zip(&snaps) {
-                    sm.scale_quiescent_delta(snap, extra, prof);
-                }
-                if extra > 0 {
-                    prof.add_cycles(ProfModule::CycleSkip, extra);
-                }
+                replay_quiescent(&mut sms, &snaps, target - now - 1, prof);
                 now = target;
                 idle_streak = 0;
                 continue;
@@ -248,7 +340,7 @@ pub(crate) fn run_kernel_shard(
                     // Arm the jump; the next iteration measures the
                     // quiescent delta (by then operand collectors and
                     // frontend tag arrays have reached steady state).
-                    plan = Some((t, sms.iter().map(|s| s.stats()).collect()));
+                    plan = Some((t, wake.snapshot(&sms)));
                 }
             }
             now += 1;

@@ -29,6 +29,15 @@
 //! invalidates the cache. The dense engine never uses the cache, so the
 //! differential suite (`event_engine_equiv.rs`) genuinely exercises it.
 //!
+//! A cached delta of zero with nothing pending inside the SM (no writeback
+//! event, no warp parked on the memory queue) means every further tick is
+//! a no-op: [`SmCore::is_dormant`]. Only an SM with no resident block can
+//! be dormant — a resident block counts an active cycle per tick — and the
+//! shard loop drops such SMs from its wake set and stops ticking them
+//! until [`SmCore::install_block`], [`SmCore::writeback_now`] or
+//! [`SmCore::apply_deferred_done`] wakes them again (the same three calls
+//! that reset or bypass the cache).
+//!
 //! [`SkipPolicy::EventDriven`]: crate::fidelity::SkipPolicy::EventDriven
 
 use crate::alu::AluModel;
@@ -179,8 +188,8 @@ pub(crate) struct WbTarget {
 pub(crate) struct TickOutcome {
     /// Instructions issued this cycle across sub-cores.
     pub issued: u32,
-    /// Global block ids that completed this cycle.
-    pub completed_blocks: Vec<usize>,
+    /// Blocks that completed this cycle.
+    pub completed_blocks: u32,
     /// Earliest future cycle at which this SM could make progress if
     /// nothing was issued (writeback/port wakeups). `None` = idle.
     pub next_wakeup: Option<Cycle>,
@@ -354,6 +363,19 @@ impl<'a> SmCore<'a> {
     /// Whether any block is resident.
     pub(crate) fn is_active(&self) -> bool {
         self.resident > 0
+    }
+
+    /// Whether every further tick would be a no-op until a block install,
+    /// writeback or deferred `Done` reply: the quiescence cache is primed
+    /// with a zero delta and nothing can invalidate it from inside the SM
+    /// (no pending writeback, no warp waiting for the memory queue). The
+    /// shard loop stops ticking such SMs (see `gpu::WakeSet`). Never true
+    /// under the dense engine, whose cache stays off.
+    pub(crate) fn is_dormant(&self) -> bool {
+        self.q_streak >= 2
+            && self.wb_events.is_empty()
+            && self.mem_parked.is_empty()
+            && self.q_delta == SmStats::default()
     }
 
     /// Apply a writeback immediately (memory completion path). A register
@@ -575,7 +597,7 @@ impl<'a> SmCore<'a> {
         }
         let quiescent = outcome.issued == 0
             && !outcome.unit_busy_stall
-            && outcome.completed_blocks.is_empty()
+            && outcome.completed_blocks == 0
             && outcome.new_tokens.is_empty()
             && !drained
             && !unparked;
@@ -797,7 +819,7 @@ impl<'a> SmCore<'a> {
                     self.release_barrier(slot);
                 }
                 if self.s_live_warps[slot] == 0 {
-                    outcome.completed_blocks.push(self.s_global_block[slot]);
+                    outcome.completed_blocks += 1;
                     self.s_occupied[slot] = false;
                     self.resident -= 1;
                 }

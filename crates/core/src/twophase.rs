@@ -28,7 +28,9 @@
 //! `tests/event_engine_equiv.rs`. The event-driven cycle skip is folded
 //! in: the coordinator arms jumps from the same quiet/candidate rules as
 //! the sequential engine and the workers replay their quiescent stat
-//! deltas, so quiescent shards cost no per-cycle work.
+//! deltas, so quiescent shards cost no per-cycle work. Within a quantum a
+//! worker ticks only the SMs in its [`WakeSet`], the sequential loop's
+//! type, so block-less SMs cost nothing either.
 //!
 //! [`SyncQuantum::Cycles`]`(q)` relaxes the hand-off: workers tick `q`
 //! cycles per phase against snapshots taken at the quantum boundary.
@@ -44,7 +46,7 @@ use crate::error::SimError;
 use crate::fidelity::{
     FidelityConfig, FrontendModelKind, MemoryModelKind, SkipPolicy, SyncQuantum,
 };
-use crate::gpu::{make_alu, merge_into};
+use crate::gpu::{make_alu, merge_into, replay_quiescent, WakeSet};
 use crate::mem_system::{
     build_analytical_memory_for, build_analytical_memory_reuse_for, CycleAccurateMemory,
     MemCompletion, MemReply, MemorySystem,
@@ -57,10 +59,9 @@ use crate::scheduler::make_policy;
 use crate::sm::{SmCore, SmStats, WbTarget};
 use crate::spsc;
 use crate::Cycle;
-use std::collections::HashMap;
 use std::sync::mpsc;
 use swiftsim_config::GpuConfig;
-use swiftsim_mem::MemTxn;
+use swiftsim_mem::{FastMap, MemTxn};
 use swiftsim_metrics::{MetricsCollector, ProfModule, ProfileReport, Profiler};
 use swiftsim_trace::{KernelTrace, TraceSource};
 
@@ -533,7 +534,7 @@ fn coordinate(
     prof: &mut Profiler,
 ) -> CoordEnd {
     let shards = sm_id_groups.len();
-    let mut tokens: HashMap<u64, (usize, usize, WbTarget)> = HashMap::new();
+    let mut tokens: FastMap<u64, (usize, usize, WbTarget)> = FastMap::default();
     let mut completions: Vec<MemCompletion> = Vec::new();
     let mut record_buf: Vec<AccessRecord> = Vec::new();
     let mut now = start;
@@ -745,7 +746,8 @@ fn worker_loop(
         now: 0,
         records: Vec::new(),
     };
-    let mut snaps: Vec<SmStats> = Vec::new();
+    let mut wake = WakeSet::new(sm_ids.len(), fidelity.skip_policy);
+    let mut snaps: Vec<(usize, SmStats)> = Vec::new();
     prof.begin_frame(&format!("k{kidx}:{}", kernel.name));
 
     'run: while let Ok(cmd) = cmds.recv() {
@@ -756,22 +758,16 @@ fn worker_loop(
                 }
                 break;
             }
-            Cmd::Jump { extra } => {
-                for (sm, snap) in sms.iter_mut().zip(&snaps) {
-                    sm.scale_quiescent_delta(snap, extra, prof);
-                }
-                if extra > 0 {
-                    prof.add_cycles(ProfModule::CycleSkip, extra);
-                }
-            }
+            Cmd::Jump { extra } => replay_quiescent(&mut sms, &snaps, extra, prof),
             Cmd::Quantum(q) => {
                 // The arm snapshot is "state at the end of the previous
                 // cycle" — i.e. before this command's events are applied.
                 if q.arm {
-                    snaps = sms.iter().map(SmCore::stats).collect();
+                    snaps = wake.snapshot(&sms);
                 }
                 for d in q.dones {
                     sms[d.local_sm].apply_deferred_done(d.target, d.at, d.issue_now, prof);
+                    wake.wake(d.local_sm);
                 }
                 // Installs before writeback deliveries: the sequential
                 // loop dispatches (step 1) before delivering completions
@@ -779,9 +775,11 @@ fn worker_loop(
                 // the new block, exactly as it would there.
                 for (local, block) in q.installs {
                     sms[local].install_block(block, &blocks[block], q.base);
+                    wake.wake(local);
                 }
                 for (local, target) in q.writebacks {
                     sms[local].writeback_now(target);
+                    wake.wake(local);
                 }
                 port.can_accept.clear();
                 port.can_accept.extend_from_slice(&q.can_accept);
@@ -790,18 +788,18 @@ fn worker_loop(
                 for c in q.base..q.base + q.len {
                     port.now = c;
                     let mut wakeup: Option<Cycle> = None;
-                    for (i, sm) in sms.iter_mut().enumerate() {
+                    wake.tick(&mut sms, |i, sm| {
                         let outcome = sm.tick(c, &mut port, prof);
                         sum.issued += outcome.issued;
                         sum.unit_busy |= outcome.unit_busy_stall;
-                        for _ in outcome.completed_blocks {
+                        for _ in 0..outcome.completed_blocks {
                             sum.completed.push(i);
                         }
                         for (token, target) in outcome.new_tokens {
                             port.records[token as usize].target = target;
                         }
                         wakeup = min_opt(wakeup, outcome.next_wakeup);
-                    }
+                    });
                     sum.wakeup = wakeup;
                 }
                 sum.records = port.records.len();

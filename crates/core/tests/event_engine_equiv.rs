@@ -14,7 +14,10 @@ use swiftsim_core::{
     SkipPolicy, SyncQuantum,
 };
 use swiftsim_metrics::Value;
-use swiftsim_trace::{ChunkedTraceSource, TextTraceSource, TraceSource};
+use swiftsim_trace::{
+    ApplicationTrace, ChunkedTraceSource, InstBuilder, KernelTrace, Opcode, TextTraceSource,
+    TraceSource,
+};
 use swiftsim_workloads::Scale;
 
 /// A small config so the detailed preset stays fast in tests.
@@ -23,6 +26,68 @@ fn small_gpu() -> swiftsim_config::GpuConfig {
     cfg.num_sms = 4;
     cfg.memory.partitions = 4;
     cfg
+}
+
+/// A three-wave grid with uneven warp lengths: 24 two-warp blocks on 4
+/// SMs that hold 2 blocks each (see [`dormancy_inputs`]). SMs retire
+/// blocks at different times and are refilled; in the last wave they drain
+/// one by one and sit idle while others still run. Loads without a
+/// destination register do not hold up `EXIT`, so their completions reach
+/// SMs whose blocks have retired and wake them from dormancy.
+fn multi_wave_app() -> ApplicationTrace {
+    let mut kernel = KernelTrace::new("multi_wave", (24, 1, 1), (64, 1, 1));
+    for b in 0..24u64 {
+        let block = kernel.push_block();
+        for w in 0..2u64 {
+            let warp = block.push_warp();
+            let len = 1 + (b * 7 + w * 5) % 13 * 3;
+            for i in 0..len {
+                let pc = i as u32 * 16;
+                let addr = ((b * 2 + w) * 64 + i) * 128;
+                let out = addr | 0x4000_0000;
+                warp.push(match i % 4 {
+                    0 => InstBuilder::new(Opcode::Ldg)
+                        .pc(pc)
+                        .dst(8)
+                        .src(2)
+                        .global_strided(addr, 4, 4),
+                    1 => InstBuilder::new(Opcode::Ffma).pc(pc).dst(9).src(8),
+                    2 => InstBuilder::new(Opcode::Stg)
+                        .pc(pc)
+                        .src(9)
+                        .global_strided(out, 4, 4),
+                    _ => InstBuilder::new(Opcode::Iadd).pc(pc).dst(10).src(10),
+                });
+            }
+            let tail = (len as u32 + 1) * 16;
+            warp.push(
+                InstBuilder::new(Opcode::Ldg)
+                    .pc(tail - 16)
+                    .src(2)
+                    .global_strided((b * 2 + w) << 20, 4, 4),
+            );
+            warp.push(InstBuilder::new(Opcode::Exit).pc(tail));
+        }
+    }
+    ApplicationTrace::new("multi_wave", vec![kernel])
+}
+
+/// Inputs where SMs sit idle, go dormant and are woken again: a GPU with
+/// far more SMs than blocks (most SMs never get one), and a multi-wave
+/// grid with uneven warp lengths. Tiny-scale suite kernels fit in one wave
+/// on [`small_gpu`], so these cover what the suite alone does not.
+fn dormancy_inputs() -> Vec<(&'static str, swiftsim_config::GpuConfig, ApplicationTrace)> {
+    let mut wide = small_gpu();
+    wide.num_sms = 16;
+    let mut two_slots = small_gpu();
+    two_slots.sm.max_blocks = 2;
+    let bfs = swiftsim_workloads::by_name("bfs")
+        .expect("workload exists")
+        .generate(Scale::Tiny);
+    vec![
+        ("bfs on 16 SMs", wide, bfs),
+        ("multi-wave grid", two_slots, multi_wave_app()),
+    ]
 }
 
 fn run_with(
@@ -78,6 +143,20 @@ fn event_engine_matches_dense_on_all_presets_and_workloads() {
                 &run_with(&cfg, dense, 1, &app),
                 &run_with(&cfg, event, 1, &app),
                 &format!("{} under {preset:?}", w.name),
+            );
+        }
+    }
+    for (label, cfg, app) in dormancy_inputs() {
+        for preset in [
+            SimulatorPreset::Detailed,
+            SimulatorPreset::SwiftBasic,
+            SimulatorPreset::SwiftMemory,
+        ] {
+            let (dense, event) = preset_pair(preset);
+            assert_stats_equal(
+                &run_with(&cfg, dense, 1, &app),
+                &run_with(&cfg, event, 1, &app),
+                &format!("{label} under {preset:?}"),
             );
         }
     }
@@ -149,26 +228,30 @@ fn event_engine_matches_dense_when_sharded() {
 /// label legitimately differ; they are normalized before comparing.
 #[test]
 fn two_phase_parallel_matches_single_thread_bit_identically() {
-    let cfg = small_gpu(); // 4 SMs: threads 3 exercises the uneven 2/1/1 split
-    let app = swiftsim_workloads::by_name("hotspot")
+    // 4 SMs: threads 3 exercises the uneven 2/1/1 split.
+    let hotspot = swiftsim_workloads::by_name("hotspot")
         .expect("workload exists")
         .generate(Scale::Tiny);
-    for preset in [
-        SimulatorPreset::Detailed,
-        SimulatorPreset::SwiftBasic,
-        SimulatorPreset::SwiftMemory,
-    ] {
-        let (_, event) = preset_pair(preset);
-        let mut reference = run_with(&cfg, event, 1, &app);
-        reference.metrics.set("sim.threads", Value::Count(0));
-        for threads in [2usize, 3, 4] {
-            let mut sharded = run_with(&cfg, event, threads, &app);
-            sharded.metrics.set("sim.threads", Value::Count(0));
-            assert_stats_equal(
-                &reference,
-                &sharded,
-                &format!("{preset:?} at {threads} threads vs single"),
-            );
+    let mut inputs = vec![("hotspot", small_gpu(), hotspot)];
+    inputs.extend(dormancy_inputs());
+    for (label, cfg, app) in inputs {
+        for preset in [
+            SimulatorPreset::Detailed,
+            SimulatorPreset::SwiftBasic,
+            SimulatorPreset::SwiftMemory,
+        ] {
+            let (_, event) = preset_pair(preset);
+            let mut reference = run_with(&cfg, event, 1, &app);
+            reference.metrics.set("sim.threads", Value::Count(0));
+            for threads in [2usize, 3, 4] {
+                let mut sharded = run_with(&cfg, event, threads, &app);
+                sharded.metrics.set("sim.threads", Value::Count(0));
+                assert_stats_equal(
+                    &reference,
+                    &sharded,
+                    &format!("{label}, {preset:?} at {threads} threads vs single"),
+                );
+            }
         }
     }
 }

@@ -40,14 +40,21 @@ fn opts(tag: &str) -> ServeOptions {
 /// cache provenance, slow flags) and keep everything that must not.
 fn prediction_fields(row: &Json) -> String {
     let job = row.get("job").expect("row has job");
-    let result = row.get("result").expect("row has result");
+    let result = match row.get("result").expect("row has result") {
+        Json::Obj(fields) => Json::Obj(
+            fields
+                .iter()
+                .filter(|(k, _)| k != "wall_time_us")
+                .cloned()
+                .collect(),
+        ),
+        other => other.clone(),
+    };
     format!(
-        "label={} key={} cycles={:?} instructions={:?} ipc_input={}",
+        "label={} key={} result={}",
         job.get("label").and_then(Json::as_str).unwrap(),
         job.get("key").and_then(Json::as_str).unwrap(),
-        result.get("cycles").and_then(Json::as_u64),
-        result.get("instructions").and_then(Json::as_u64),
-        result.dump().len(), // full result payload size as a cheap digest
+        result.dump(),
     )
 }
 
