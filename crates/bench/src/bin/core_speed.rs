@@ -16,7 +16,7 @@
 //! ```
 
 use std::time::Instant;
-use swiftsim_bench::Knobs;
+use swiftsim_bench::{describe_commit, Knobs};
 use swiftsim_core::{FidelityConfig, GpuSimulator, RunOptions, SimulatorPreset, SkipPolicy};
 use swiftsim_metrics::geomean;
 use swiftsim_trace::ApplicationTrace;
@@ -104,21 +104,6 @@ fn measure(mode: &str, preset: &str, path: &std::path::Path) -> Measurement {
         insts: field("insts") as u64,
         wall_ms: field("wall_ms"),
     }
-}
-
-/// The checked-out commit, marked `-dirty` when the tree has uncommitted
-/// changes, or `"unknown"` outside a git checkout.
-fn describe_commit() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--abbrev=12"])
-        .stderr(std::process::Stdio::null())
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
 }
 
 /// One finished (workload, preset) comparison.

@@ -16,6 +16,7 @@
 //! ```
 
 use std::time::Instant;
+use swiftsim_bench::describe_commit;
 use swiftsim_core::{run, RunOptions, SamplingPolicy, SimulatorPreset};
 use swiftsim_trace::ApplicationTrace;
 use swiftsim_workloads::{MemPattern, Mix, PatternKernel, Scale};
@@ -125,8 +126,10 @@ fn main() {
         sampled.cycles, exact.cycles, conf.app_error_bound
     );
 
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"bench\": \"sampling\",\n  \"preset\": \"swift_basic\",\n  \
+        "{{\n  \"bench\": \"sampling\",\n  \"host_cores\": {host_cores},\n  \
+         \"commit\": \"{}\",\n  \"preset\": \"swift_basic\",\n  \
          \"iterations\": {iters},\n  \"launches\": {launches},\n  \"instructions\": {insts},\n  \
          \"policy\": \"cluster:{reps}\",\n  \"clusters\": {},\n  \
          \"sampled_kernels\": {},\n  \"replayed_kernels\": {},\n  \
@@ -134,6 +137,7 @@ fn main() {
          \"sampled\": {{ \"cycles\": {}, \"wall_ms\": {sampled_ms:.1} }},\n  \
          \"rel_error\": {rel_error:.6},\n  \"app_error_bound\": {:.6},\n  \
          \"within_bound\": {within_bound},\n  \"speedup\": {speedup:.2}\n}}\n",
+        describe_commit(),
         conf.clusters,
         conf.sampled_kernels,
         conf.replayed_kernels,

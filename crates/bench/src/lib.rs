@@ -312,6 +312,21 @@ pub fn geomean_of(results: &[AppResult], f: impl Fn(&AppResult) -> f64) -> f64 {
     geomean(&results.iter().map(f).collect::<Vec<_>>())
 }
 
+/// The checked-out commit, marked `-dirty` when the tree has uncommitted
+/// changes, or `"unknown"` outside a git checkout.
+pub fn describe_commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .stderr(std::process::Stdio::null())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_owned())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_owned())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,4 +1,4 @@
-//! Simulator construction and the single-threaded engine loop.
+//! Simulator construction and the app-level engine loop.
 //!
 //! "Based on the modular modeling approach, we can adopt various modeling
 //! methods for a single module" (§III-B3). A simulator instance is a
@@ -27,19 +27,19 @@
 
 use crate::checkpoint::Snapshot;
 use crate::error::SimError;
-use crate::fidelity::{FidelityConfig, MemoryModelKind, SamplingPolicy, SyncQuantum};
-use crate::gpu::{merge_into, run_kernel_shard};
+use crate::fidelity::{FidelityConfig, MemoryModelKind};
+use crate::gpu::run_kernel;
 use crate::input::TraceInput;
 use crate::mem_system::{
     build_analytical_memory_for, build_analytical_memory_reuse_for, CycleAccurateMemory,
     MemorySystem,
 };
 use crate::options::{CheckpointOptions, RunOptions};
-use crate::parallel::run_parallel;
 use crate::prefetch::Prefetcher;
 use crate::result::{Confidence, KernelResult, SimulationResult};
 use crate::sampling::{RepMeasure, Sampler};
 use crate::sm::SmStats;
+use crate::twophase::{max_threads, run_kernel_two_phase, split_sms};
 use crate::Cycle;
 use swiftsim_config::GpuConfig;
 use swiftsim_metrics::{MetricsCollector, ProfileReport, Profiler, Value};
@@ -93,22 +93,19 @@ pub fn run<'a>(
 /// A fully configured Swift-Sim simulator instance.
 #[derive(Debug, Clone)]
 pub struct GpuSimulator {
-    pub(crate) cfg: GpuConfig,
-    pub(crate) fidelity: FidelityConfig,
-    pub(crate) threads: usize,
-    pub(crate) profile: bool,
-    pub(crate) checkpoint: CheckpointOptions,
+    cfg: GpuConfig,
+    fidelity: FidelityConfig,
+    threads: usize,
+    profile: bool,
+    checkpoint: CheckpointOptions,
 }
 
 impl GpuSimulator {
     /// Build a simulator from a hardware description and run options,
     /// validating both up front: the hardware must pass
-    /// [`GpuConfig::validate`], an explicit thread count must not exceed
-    /// the SM count (each worker shards at least one SM; `0` resolves to
-    /// `min(`[`crate::max_threads`]`(), num_sms)`), and sampling or
-    /// checkpointing must not be combined with the legacy
-    /// [`SyncQuantum::Unsynchronized`] engine — its privately sharded
-    /// memory has no single state to snapshot or replay against.
+    /// [`GpuConfig::validate`], and an explicit thread count must not
+    /// exceed the SM count (each worker shards at least one SM; `0`
+    /// resolves to `min(`[`crate::max_threads`]`(), num_sms)`).
     ///
     /// # Errors
     ///
@@ -119,7 +116,7 @@ impl GpuSimulator {
         })?;
         let num_sms = cfg.num_sms.max(1) as usize;
         let threads = if options.threads == 0 {
-            crate::parallel::max_threads().min(num_sms)
+            max_threads().min(num_sms)
         } else {
             if options.threads > num_sms {
                 return Err(SimError::InvalidConfig {
@@ -132,24 +129,6 @@ impl GpuSimulator {
             }
             options.threads
         };
-        if threads > 1 && options.fidelity.sync_quantum == SyncQuantum::Unsynchronized {
-            if options.fidelity.sampling != SamplingPolicy::Off {
-                return Err(SimError::InvalidConfig {
-                    message: "kernel-launch sampling requires a synchronized engine; \
-                              the unsynchronized quantum shards memory privately \
-                              (use -sim_sync_quantum per_cycle or a cycle count)"
-                        .to_owned(),
-                });
-            }
-            if options.checkpoint.is_active() {
-                return Err(SimError::InvalidConfig {
-                    message: "checkpointing requires a synchronized engine; the \
-                              unsynchronized quantum has no single memory state to \
-                              snapshot (use -sim_sync_quantum per_cycle or a cycle count)"
-                        .to_owned(),
-                });
-            }
-        }
         Ok(GpuSimulator {
             cfg,
             fidelity: options.fidelity,
@@ -194,23 +173,15 @@ impl GpuSimulator {
     pub fn run<'a>(&self, input: impl Into<TraceInput<'a>>) -> Result<SimulationResult, SimError> {
         let source = input.into().source();
         let started = std::time::Instant::now();
-        let mut result = if self.threads > 1 {
-            match self.fidelity.sync_quantum {
-                // Legacy decoupled shards: private memory slices, no
-                // cross-shard traffic (the paper's original model).
-                SyncQuantum::Unsynchronized => run_parallel(self, source)?,
-                // Two-phase engine: one shared memory system, shards
-                // synchronize every quantum (per-cycle = bit-identical).
-                _ => crate::twophase::run_two_phase(self, source)?,
-            }
-        } else {
-            self.run_single(source)?
-        };
+        let mut result = self.run_source(source)?;
         result.wall_time = started.elapsed();
         Ok(result)
     }
 
-    fn run_single(&self, source: &dyn TraceSource) -> Result<SimulationResult, SimError> {
+    /// The app-level loop for every thread count: sampling, replay,
+    /// checkpoint boundaries and metrics around one per-kernel call — the
+    /// sequential stepper for one thread, the two-phase engine otherwise.
+    fn run_source(&self, source: &dyn TraceSource) -> Result<SimulationResult, SimError> {
         let total = source.num_kernels();
         let mut driver = RunDriver::new(self, source)?;
         let mut mem: Box<dyn MemorySystem> = match self.fidelity.memory {
@@ -226,25 +197,31 @@ impl GpuSimulator {
         };
         driver.restore_memory(mem.as_mut())?;
 
-        let num_sms = self.cfg.num_sms as usize;
-        // The simulation profiler renders on track 0, the decode profiler
-        // on track 1; a shared epoch lines their frames up on one
-        // timeline, making decode/simulate overlap visible.
+        let sm_groups = split_sms(self.cfg.num_sms as usize, self.threads);
+        let workers = if sm_groups.len() > 1 {
+            sm_groups.len()
+        } else {
+            0
+        };
+        // Two-phase workers render on tracks 0..workers, the engine thread
+        // (sequential stepper or two-phase coordinator) on the next, the
+        // decode profiler on the one after; a shared epoch lines their
+        // frames up on one timeline, making decode/simulate overlap visible.
         let epoch = std::time::Instant::now();
-        let mut prof = if self.profile {
-            Profiler::enabled_on_track(epoch, 0)
-        } else {
-            Profiler::disabled()
+        let on_track = |track| {
+            if self.profile {
+                Profiler::enabled_on_track(epoch, track)
+            } else {
+                Profiler::disabled()
+            }
         };
-        let decode_prof = if self.profile {
-            Profiler::enabled_on_track(epoch, 1)
-        } else {
-            Profiler::disabled()
-        };
+        let mut worker_profs: Vec<Profiler> = (0..workers).map(on_track).collect();
+        let mut prof = on_track(workers);
+        let decode_prof = on_track(workers + 1);
         mem.set_profiling(self.profile);
 
         std::thread::scope(|scope| {
-            let mut pf = Prefetcher::with_schedule(
+            let mut pf = Prefetcher::new(
                 scope,
                 source,
                 decode_prof,
@@ -258,19 +235,28 @@ impl GpuSimulator {
                     let kernel = pf.get(idx)?;
                     let kernel = &*kernel;
                     prof.begin_frame(&format!("k{idx}:{}", kernel.name));
-                    let blocks: Vec<usize> = (0..kernel.blocks().len()).collect();
-                    let sm_ids: Vec<usize> = (0..num_sms).collect();
-                    let outcome = run_kernel_shard(
-                        &self.cfg,
-                        kernel,
-                        &blocks,
-                        &sm_ids,
-                        mem.as_mut(),
-                        self.fidelity,
-                        0,
-                        start,
-                        &mut prof,
-                    )?;
+                    let outcome = if workers == 0 {
+                        run_kernel(
+                            &self.cfg,
+                            kernel,
+                            mem.as_mut(),
+                            self.fidelity,
+                            start,
+                            &mut prof,
+                        )
+                    } else {
+                        run_kernel_two_phase(
+                            &self.cfg,
+                            kernel,
+                            idx,
+                            &sm_groups,
+                            self.fidelity,
+                            mem.as_mut(),
+                            &mut worker_profs,
+                            &mut prof,
+                            start,
+                        )
+                    }?;
                     // Flush the memory system's per-level attribution into
                     // the still-open frame before closing it.
                     mem.report_profile(&mut prof);
@@ -279,7 +265,7 @@ impl GpuSimulator {
                         cycles: outcome.end_cycle - start,
                         stats: outcome.stats,
                         instructions: outcome.stats.issued,
-                        blocks: outcome.blocks,
+                        blocks: kernel.blocks().len() as u64,
                     };
                     driver.record(idx, measure);
                     kernels.push(KernelResult {
@@ -288,7 +274,7 @@ impl GpuSimulator {
                         instructions: measure.instructions,
                         blocks: measure.blocks,
                     });
-                    merge_into(&mut total_stats, outcome.stats);
+                    total_stats.add(&outcome.stats);
                     start = outcome.end_cycle;
                 } else {
                     // Replayed launch: synthesized from its cluster's
@@ -312,14 +298,24 @@ impl GpuSimulator {
             report_common(&mut metrics, start, &total_stats, self);
             mem.report(&mut metrics);
 
-            let profile = self
-                .profile
-                .then(|| ProfileReport::merge(vec![prof.into_report(), pf.finish().into_report()]));
+            let profile = self.profile.then(|| {
+                ProfileReport::merge(
+                    worker_profs
+                        .into_iter()
+                        .chain([prof, pf.finish()])
+                        .map(Profiler::into_report)
+                        .collect(),
+                )
+            });
             let confidence = driver.confidence(&kernels);
 
             Ok(SimulationResult {
                 app: source.name().to_owned(),
-                simulator: self.description(),
+                simulator: if workers == 0 {
+                    self.description()
+                } else {
+                    format!("{}@{workers}threads", self.description())
+                },
                 fidelity: self.fidelity,
                 cycles: start,
                 kernels,
@@ -332,8 +328,8 @@ impl GpuSimulator {
     }
 }
 
-/// Report engine-level counters shared by single and parallel runs.
-pub(crate) fn report_common(
+/// Report engine-level counters.
+fn report_common(
     metrics: &mut MetricsCollector,
     cycles: Cycle,
     stats: &SmStats,
@@ -367,12 +363,11 @@ struct RunIdentity {
     threads: usize,
 }
 
-/// Per-run coordinator for sampling and checkpointing, shared by the
-/// single-threaded and two-phase engines. Owns the sampling plan and
+/// Per-run coordinator for sampling and checkpointing. Owns the sampling plan and
 /// measurements, the resume snapshot, and the boundary-snapshot writer;
 /// the engine owns the clock, stats, and kernel results and threads them
 /// through.
-pub(crate) struct RunDriver {
+struct RunDriver {
     sampler: Option<Sampler>,
     write_to: Option<std::path::PathBuf>,
     halt_after: Option<usize>,
@@ -384,7 +379,7 @@ pub(crate) struct RunDriver {
 impl RunDriver {
     /// Plan sampling, capture snapshot identity, and load + validate the
     /// resume snapshot when one was requested.
-    pub(crate) fn new(sim: &GpuSimulator, source: &dyn TraceSource) -> Result<RunDriver, SimError> {
+    fn new(sim: &GpuSimulator, source: &dyn TraceSource) -> Result<RunDriver, SimError> {
         let mut sampler = Sampler::plan(source, sim.fidelity.sampling);
         let identity = if sim.checkpoint.is_active() {
             Some(RunIdentity {
@@ -439,13 +434,13 @@ impl RunDriver {
     }
 
     /// Index of the first kernel this run simulates (0 unless resuming).
-    pub(crate) fn start_kernel(&self) -> usize {
+    fn start_kernel(&self) -> usize {
         self.start_kernel
     }
 
     /// Initial accumulators: clock, statistics, and per-kernel results —
     /// the snapshot's on resume, zeros otherwise.
-    pub(crate) fn initial(&self) -> (Cycle, SmStats, Vec<KernelResult>) {
+    fn initial(&self) -> (Cycle, SmStats, Vec<KernelResult>) {
         match &self.resume {
             Some(s) => (s.cycle, s.total_stats, s.kernels.clone()),
             None => (0, SmStats::default(), Vec::new()),
@@ -453,7 +448,7 @@ impl RunDriver {
     }
 
     /// Apply the resume snapshot's memory section to a freshly built model.
-    pub(crate) fn restore_memory(&self, mem: &mut dyn MemorySystem) -> Result<(), SimError> {
+    fn restore_memory(&self, mem: &mut dyn MemorySystem) -> Result<(), SimError> {
         if let Some(s) = &self.resume {
             mem.load_state(&s.memory)
                 .map_err(|e| SimError::Checkpoint {
@@ -465,13 +460,13 @@ impl RunDriver {
 
     /// Whether launch `kernel` is simulated in detail (always, when
     /// sampling is off).
-    pub(crate) fn is_detailed(&self, kernel: usize) -> bool {
+    fn is_detailed(&self, kernel: usize) -> bool {
         self.sampler.as_ref().is_none_or(|s| s.is_detailed(kernel))
     }
 
     /// Launch indices the engine will decode this run: detailed ones not
     /// already covered by the resume snapshot.
-    pub(crate) fn decode_schedule(&self, total: usize) -> Vec<usize> {
+    fn decode_schedule(&self, total: usize) -> Vec<usize> {
         (self.start_kernel..total)
             .filter(|&k| self.is_detailed(k))
             .collect()
@@ -481,7 +476,7 @@ impl RunDriver {
     /// every detailed launch — including ones a resume snapshot already
     /// covers — so the per-PC hit rates match the original run exactly
     /// (bit-identity of the resumed run depends on it).
-    pub(crate) fn prepass_indices(&self, total: usize) -> Vec<usize> {
+    fn prepass_indices(&self, total: usize) -> Vec<usize> {
         match &self.sampler {
             Some(s) => s.detailed_indices(),
             None => (0..total).collect(),
@@ -489,14 +484,14 @@ impl RunDriver {
     }
 
     /// Record a detailed launch's measurements for later replays.
-    pub(crate) fn record(&mut self, kernel: usize, measure: RepMeasure) {
+    fn record(&mut self, kernel: usize, measure: RepMeasure) {
         if let Some(s) = &mut self.sampler {
             s.record(kernel, measure);
         }
     }
 
     /// Synthesize a replayed launch's outcome.
-    pub(crate) fn replay(&self, kernel: usize) -> RepMeasure {
+    fn replay(&self, kernel: usize) -> RepMeasure {
         self.sampler
             .as_ref()
             .expect("replay is only reached when a sampling plan exists")
@@ -506,7 +501,7 @@ impl RunDriver {
     /// Kernel-boundary hook: write a snapshot when requested, and report
     /// whether the run should continue (`false` once `halt_after` kernels
     /// have completed — the partial result covers the simulated prefix).
-    pub(crate) fn boundary(
+    fn boundary(
         &mut self,
         kernel: usize,
         cycle: Cycle,
@@ -539,7 +534,7 @@ impl RunDriver {
     }
 
     /// The run's confidence block (`None` when sampling is off).
-    pub(crate) fn confidence(&self, kernels: &[KernelResult]) -> Option<Confidence> {
+    fn confidence(&self, kernels: &[KernelResult]) -> Option<Confidence> {
         self.sampler.as_ref().map(|s| s.confidence(kernels))
     }
 }
@@ -547,7 +542,9 @@ impl RunDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fidelity::{AluModelKind, FrontendModelKind, SkipPolicy};
+    use crate::fidelity::{
+        AluModelKind, FrontendModelKind, SamplingPolicy, SkipPolicy, SyncQuantum,
+    };
     use swiftsim_config::presets;
 
     #[test]
@@ -624,7 +621,7 @@ mod tests {
                 .expect("auto threads is always valid");
         assert!(sim.threads >= 1);
         assert!(sim.threads <= presets::rtx2080ti().num_sms as usize);
-        assert!(sim.threads <= crate::parallel::max_threads());
+        assert!(sim.threads <= max_threads());
     }
 
     #[test]
@@ -649,42 +646,6 @@ mod tests {
         cfg.num_sms = 0;
         let err = GpuSimulator::try_new(cfg, &RunOptions::default()).expect_err("0 SMs is invalid");
         assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
-    }
-
-    #[test]
-    fn try_new_rejects_sampling_and_checkpointing_on_unsync_engine() {
-        let cfg = presets::rtx2080ti();
-        let unsync = FidelityConfig {
-            sync_quantum: SyncQuantum::Unsynchronized,
-            ..FidelityConfig::default()
-        };
-        let err = GpuSimulator::try_new(
-            cfg.clone(),
-            &RunOptions::default()
-                .with_fidelity(unsync)
-                .with_threads(2)
-                .with_sampling(SamplingPolicy::KernelCluster { reps: 2 }),
-        )
-        .expect_err("sampling on unsync engine");
-        assert!(err.to_string().contains("sampling"), "{err}");
-        let err = GpuSimulator::try_new(
-            cfg.clone(),
-            &RunOptions::default()
-                .with_fidelity(unsync)
-                .with_threads(2)
-                .with_checkpoint_out("/tmp/snap"),
-        )
-        .expect_err("checkpointing on unsync engine");
-        assert!(err.to_string().contains("checkpoint"), "{err}");
-        // Single-threaded runs never dispatch to the unsync engine, so the
-        // combination is fine there.
-        GpuSimulator::try_new(
-            cfg,
-            &RunOptions::default()
-                .with_fidelity(unsync)
-                .with_sampling(SamplingPolicy::KernelCluster { reps: 2 }),
-        )
-        .expect("threads=1 ignores the quantum");
     }
 
     #[test]

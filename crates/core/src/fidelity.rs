@@ -95,10 +95,6 @@ pub enum SyncQuantum {
     /// statistics may diverge from the sequential engine. Divergence is
     /// exercised by the relaxed-quantum cases in `event_engine_equiv`.
     Cycles(u32),
-    /// Legacy decoupled shards: each shard owns a private slice of the
-    /// memory hierarchy and never exchanges traffic (the paper's original
-    /// parallel model). Fast, but per-shard bandwidth is an approximation.
-    Unsynchronized,
 }
 
 /// Whether (and how aggressively) repeated kernel launches are sampled.
@@ -260,7 +256,6 @@ impl SyncQuantum {
         match self {
             SyncQuantum::PerCycle => "per_cycle".to_owned(),
             SyncQuantum::Cycles(n) => n.to_string(),
-            SyncQuantum::Unsynchronized => "unsync".to_owned(),
         }
     }
 }
@@ -332,13 +327,12 @@ impl FromStr for SyncQuantum {
     fn from_str(s: &str) -> Result<Self, SimError> {
         match s {
             "per_cycle" | "per-cycle" | "1" => Ok(SyncQuantum::PerCycle),
-            "unsync" | "unsynchronized" => Ok(SyncQuantum::Unsynchronized),
             other => match other.parse::<u32>() {
                 Ok(n) if n >= 2 => Ok(SyncQuantum::Cycles(n)),
                 _ => Err(parse_err(
                     "sync quantum",
                     other,
-                    "per_cycle, a cycle count >= 2, unsync",
+                    "per_cycle, a cycle count >= 2",
                 )),
             },
         }
@@ -405,12 +399,8 @@ impl FidelityConfig {
         // engine, so it stays silent; only non-default quanta change what a
         // run computes and therefore must show up in descriptions (and in
         // the campaign cache keys built from them).
-        match self.sync_quantum {
-            SyncQuantum::PerCycle => {}
-            SyncQuantum::Cycles(n) => {
-                out.push_str(&format!("+sync_q{n}"));
-            }
-            SyncQuantum::Unsynchronized => out.push_str("+unsync"),
+        if let SyncQuantum::Cycles(n) = self.sync_quantum {
+            out.push_str(&format!("+sync_q{n}"));
         }
         // Sampling changes what a run computes, so any non-off policy must
         // show up in descriptions (and in the campaign cache keys built from
@@ -584,7 +574,6 @@ mod tests {
             SyncQuantum::PerCycle,
             SyncQuantum::Cycles(2),
             SyncQuantum::Cycles(64),
-            SyncQuantum::Unsynchronized,
         ] {
             assert_eq!(q.token().parse::<SyncQuantum>().unwrap(), q);
         }
@@ -649,14 +638,19 @@ mod tests {
         assert_eq!(f.sync_quantum, SyncQuantum::Cycles(8));
         assert!(f.describe().ends_with("+sync_q8"), "{}", f.describe());
 
-        let f = FidelityConfig::parse_args("-sim_sync_quantum unsync").unwrap();
-        assert_eq!(f.sync_quantum, SyncQuantum::Unsynchronized);
-        assert!(f.describe().ends_with("+unsync"), "{}", f.describe());
-
         // The default quantum stays silent so preset descriptions (and the
         // campaign cache keys derived from them) are unchanged.
         let f = FidelityConfig::parse_args("-sim_sync_quantum per_cycle").unwrap();
         assert_eq!(f.describe(), FidelityConfig::default().describe());
         assert!(!f.describe().contains("sync"), "{}", f.describe());
+    }
+
+    #[test]
+    fn removed_unsync_quantum_is_an_error_listing_valid_values() {
+        let msg = FidelityConfig::parse_args("-sim_sync_quantum unsync")
+            .unwrap_err()
+            .to_string();
+        assert!(msg.contains("\"unsync\""), "{msg}");
+        assert!(msg.contains("per_cycle, a cycle count >= 2"), "{msg}");
     }
 }

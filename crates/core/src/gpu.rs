@@ -8,13 +8,14 @@
 //! the next instruction that depends on the completed instruction,
 //! continuing this process until all instructions are executed."
 //!
-//! The engine runs a *shard*: a subset of SMs with its own memory system.
-//! Single-threaded simulation is one shard covering the whole GPU; parallel
-//! simulation runs several shards concurrently (see [`crate::parallel`]).
+//! [`run_kernel`] is the sequential kernel stepper: one thread ticks every
+//! SM of the GPU against one memory system. The app-level loop
+//! (`GpuSimulator::run`) calls it for single-thread runs and the two-phase
+//! engine ([`crate::twophase`]) when more threads shard the SMs.
 //!
 //! # The event-driven cycle-skipping engine
 //!
-//! Under [`SkipPolicy::EventDriven`] the shard loop fast-forwards over
+//! Under [`SkipPolicy::EventDriven`] the kernel loop fast-forwards over
 //! provably quiescent spans instead of ticking them one by one. Every
 //! component reports its next-actionable cycle — SMs via
 //! [`TickOutcome::next_wakeup`] (writeback heap head, port wakeups), the
@@ -62,19 +63,13 @@ use swiftsim_trace::KernelTrace;
 #[cfg(doc)]
 use crate::sm::TickOutcome;
 
-/// Outcome of simulating one kernel on one shard.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ShardKernelOutcome {
-    /// Cycle (absolute) at which the shard's last block finished.
+/// Outcome of simulating one kernel, from either kernel stepper.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KernelOutcome {
+    /// Cycle (absolute) at which the kernel's last block finished.
     pub end_cycle: Cycle,
     /// Aggregated SM counters.
     pub stats: SmStats,
-    /// Blocks executed by this shard.
-    pub blocks: u64,
-}
-
-pub(crate) fn merge_into(total: &mut SmStats, s: SmStats) {
-    total.add(&s);
 }
 
 pub(crate) fn make_alu(kind: AluModelKind, cfg: &GpuConfig) -> Box<dyn AluModel> {
@@ -84,8 +79,9 @@ pub(crate) fn make_alu(kind: AluModelKind, cfg: &GpuConfig) -> Box<dyn AluModel>
     }
 }
 
-/// The SMs of one shard that can change state: a bitset over local SM
-/// indices, walked in ascending order. See the module docs.
+/// The SMs of one kernel loop (the whole GPU, or one two-phase shard) that
+/// can change state: a bitset over local SM indices, walked in ascending
+/// order. See the module docs.
 pub(crate) struct WakeSet {
     words: Vec<u64>,
 }
@@ -164,26 +160,16 @@ pub(crate) fn replay_quiescent(
     }
 }
 
-/// Per-shard kernel simulation.
-///
-/// `block_indices` are the kernel's block ids this shard executes; `sm_ids`
-/// are the *global* SM ids the shard owns (their count sets the local SM
-/// array size; memory-system calls use local indices, diagnostics use the
-/// global ids). `shard` is the shard's index, used only for error
-/// reporting.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_kernel_shard(
+/// Simulate one kernel on every SM of the GPU, starting at cycle `start`.
+pub(crate) fn run_kernel(
     cfg: &GpuConfig,
     kernel: &KernelTrace,
-    block_indices: &[usize],
-    sm_ids: &[usize],
     mem: &mut dyn MemorySystem,
     fidelity: FidelityConfig,
-    shard: usize,
     start: Cycle,
     prof: &mut Profiler,
-) -> Result<ShardKernelOutcome, SimError> {
-    let num_local_sms = sm_ids.len();
+) -> Result<KernelOutcome, SimError> {
+    let num_sms = cfg.num_sms as usize;
     if !kernel.is_consistent(cfg.sm.warp_size) {
         return Err(SimError::InconsistentTrace {
             kernel: kernel.name.clone(),
@@ -202,11 +188,11 @@ pub(crate) fn run_kernel_shard(
     let detailed_frontend = fidelity.frontend == FrontendModelKind::Detailed;
     let event_driven = fidelity.skip_policy == SkipPolicy::EventDriven;
 
-    let mut sms: Vec<SmCore<'_>> = (0..num_local_sms)
+    let mut sms: Vec<SmCore<'_>> = (0..num_sms)
         .map(|i| {
             SmCore::new(
                 i,
-                sm_ids[i],
+                i,
                 &cfg.sm,
                 occupancy.blocks_per_sm as usize,
                 warps_per_block,
@@ -218,8 +204,8 @@ pub(crate) fn run_kernel_shard(
         })
         .collect();
 
-    let mut bs = BlockScheduler::new(num_local_sms, block_indices.len(), occupancy.blocks_per_sm);
-    let mut wake = WakeSet::new(num_local_sms, fidelity.skip_policy);
+    let mut bs = BlockScheduler::new(num_sms, blocks.len(), occupancy.blocks_per_sm);
+    let mut wake = WakeSet::new(num_sms, fidelity.skip_policy);
     let mut tokens: FastMap<u64, (usize, WbTarget)> = FastMap::default();
     let mut completions: Vec<MemCompletion> = Vec::new();
     let mut now = start;
@@ -234,12 +220,11 @@ pub(crate) fn run_kernel_shard(
         let mut installed = false;
         if bs.remaining() > 0 {
             let t0 = prof.start();
-            for (sm_idx, sm) in sms.iter_mut().enumerate().take(num_local_sms) {
+            for (sm_idx, sm) in sms.iter_mut().enumerate() {
                 while sm.has_free_slot() {
                     match bs.dispatch(sm_idx) {
-                        Some(local_idx) => {
-                            let global = block_indices[local_idx];
-                            sm.install_block(global, &blocks[global], now);
+                        Some(block) => {
+                            sm.install_block(block, &blocks[block], now);
                             wake.wake(sm_idx);
                             installed = true;
                         }
@@ -293,12 +278,11 @@ pub(crate) fn run_kernel_shard(
         if bs.all_done() && tokens.is_empty() && mem.next_event().is_none() {
             let mut stats = SmStats::default();
             for sm in &sms {
-                merge_into(&mut stats, sm.stats());
+                stats.add(&sm.stats());
             }
-            return Ok(ShardKernelOutcome {
+            return Ok(KernelOutcome {
                 end_cycle: now,
                 stats,
-                blocks: block_indices.len() as u64,
             });
         }
 
@@ -362,144 +346,9 @@ pub(crate) fn run_kernel_shard(
             };
             return Err(SimError::Deadlock {
                 cycle: now,
-                shard,
+                shard: 0,
                 detail,
             });
         }
-    }
-}
-
-/// Round-robin split of a kernel's blocks across `shards`.
-pub(crate) fn split_blocks(num_blocks: usize, shards: usize) -> Vec<Vec<usize>> {
-    let mut out = vec![Vec::new(); shards.max(1)];
-    for b in 0..num_blocks {
-        out[b % shards.max(1)].push(b);
-    }
-    out
-}
-
-/// Distribute `partitions` memory partitions over shards proportionally to
-/// their SM counts, exactly and deterministically.
-///
-/// Largest-remainder apportionment: every shard gets the floor of its
-/// proportional share, then the leftover partitions go one each to the
-/// shards with the largest fractional remainders (ties broken by shard
-/// index). Shards that still end up with zero take one partition from the
-/// currently-richest shard (a shard cannot simulate with no memory
-/// partition), so the counts sum to `partitions` whenever
-/// `shards <= partitions` and to the shard count otherwise.
-pub(crate) fn shard_partitions(partitions: u32, shard_sms: &[u32]) -> Vec<u32> {
-    let total: u64 = shard_sms.iter().map(|&s| u64::from(s)).sum();
-    if shard_sms.is_empty() || total == 0 {
-        return vec![1; shard_sms.len()];
-    }
-    let mut share: Vec<u32> = shard_sms
-        .iter()
-        .map(|&s| (u64::from(partitions) * u64::from(s) / total) as u32)
-        .collect();
-    // Hand out the remainder by descending fractional part, index as the
-    // deterministic tiebreak.
-    let mut order: Vec<usize> = (0..shard_sms.len()).collect();
-    order.sort_by_key(|&i| {
-        let frac = u64::from(partitions) * u64::from(shard_sms[i]) % total;
-        (std::cmp::Reverse(frac), i)
-    });
-    let assigned: u32 = share.iter().sum();
-    for &i in order
-        .iter()
-        .take(partitions.saturating_sub(assigned) as usize)
-    {
-        share[i] += 1;
-    }
-    // Min-1 floor: fund empty shards from the richest ones while any shard
-    // still holds at least 2; once every share is 0 or 1 (possible only
-    // when shards > partitions), the remaining zeros are bumped outright.
-    for i in 0..share.len() {
-        if share[i] > 0 {
-            continue;
-        }
-        let richest = (0..share.len()).max_by_key(|&j| (share[j], std::cmp::Reverse(j)));
-        match richest {
-            Some(j) if share[j] >= 2 => {
-                share[j] -= 1;
-                share[i] = 1;
-            }
-            _ => share[i] = 1,
-        }
-    }
-    share
-}
-
-/// A scaled-down configuration for one shard of a parallel run: the shard
-/// owns `local_sms` SMs and `partitions` memory partitions (computed for
-/// the whole split by [`shard_partitions`], so sibling shards' slices sum
-/// to the GPU's total and per-SM bandwidth stays unskewed).
-pub(crate) fn shard_config(cfg: &GpuConfig, local_sms: u32, partitions: u32) -> GpuConfig {
-    let mut shard = cfg.clone();
-    shard.num_sms = local_sms;
-    shard.memory.partitions = partitions.max(1);
-    shard
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn split_blocks_round_robin() {
-        let s = split_blocks(7, 3);
-        assert_eq!(s[0], vec![0, 3, 6]);
-        assert_eq!(s[1], vec![1, 4]);
-        assert_eq!(s[2], vec![2, 5]);
-        assert_eq!(
-            split_blocks(0, 3),
-            vec![vec![], vec![], vec![]] as Vec<Vec<usize>>
-        );
-    }
-
-    #[test]
-    fn shard_config_scales_partitions() {
-        let cfg = swiftsim_config::presets::rtx2080ti(); // 68 SMs, 22 parts
-        let parts = shard_partitions(cfg.memory.partitions, &[17, 17, 17, 17]);
-        assert_eq!(parts.iter().sum::<u32>(), 22);
-        let shard = shard_config(&cfg, 17, parts[0]);
-        assert_eq!(shard.num_sms, 17);
-        assert_eq!(shard.memory.partitions, parts[0]);
-        // Degenerate shard still has one partition.
-        assert_eq!(shard_config(&cfg, 1, 0).memory.partitions, 1);
-    }
-
-    #[test]
-    fn shard_partitions_sum_to_the_gpu_total() {
-        // The old floor-division scaling lost partitions on uneven splits
-        // (e.g. 22 partitions over 23/23/22 SMs gave 7+7+7 = 21), silently
-        // skewing per-SM bandwidth between shards. The apportionment must
-        // be exact for every shard count.
-        let cfg = swiftsim_config::presets::rtx2080ti(); // 68 SMs, 22 parts
-        let total_parts = cfg.memory.partitions;
-        for shards in 1..=cfg.num_sms as usize {
-            let sizes: Vec<u32> = crate::parallel::split_sms(cfg.num_sms as usize, shards)
-                .iter()
-                .map(|&n| n as u32)
-                .collect();
-            let parts = shard_partitions(total_parts, &sizes);
-            let sum: u32 = parts.iter().sum();
-            // Every shard needs >= 1 partition to simulate, so splits wider
-            // than the partition count sum to the shard count instead.
-            let expect = total_parts.max(shards as u32);
-            assert_eq!(sum, expect, "{shards} shards, sizes {sizes:?}: {parts:?}");
-            assert!(parts.iter().all(|&p| p >= 1), "{parts:?}");
-            // Proportionality: a shard never gets more than its ceiling
-            // share plus the min-1 bump.
-            for (i, &p) in parts.iter().enumerate() {
-                let ceil = (u64::from(total_parts) * u64::from(sizes[i]))
-                    .div_ceil(u64::from(cfg.num_sms)) as u32;
-                assert!(p <= ceil.max(1), "shard {i}: {p} > ceil {ceil}");
-            }
-        }
-        // The motivating case from the issue: uneven 23/23/22 split.
-        let parts = shard_partitions(22, &[23, 23, 22]);
-        assert_eq!(parts.iter().sum::<u32>(), 22);
-        assert_eq!(parts, vec![8, 7, 7]);
     }
 }

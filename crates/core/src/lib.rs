@@ -66,7 +66,6 @@ mod input;
 mod json;
 pub mod mem_system;
 mod options;
-mod parallel;
 mod prefetch;
 mod result;
 mod sampling;
@@ -90,11 +89,11 @@ pub use input::TraceInput;
 pub use json::RESULT_SCHEMA_VERSION;
 pub use mem_system::{MemReply, MemorySystem};
 pub use options::{CheckpointOptions, RunOptions};
-pub use parallel::max_threads;
 pub use result::{Confidence, KernelResult, SimulationResult};
 pub use scheduler::{GtoScheduler, LrrScheduler, TwoLevelScheduler, WarpSchedulerPolicy, WarpView};
 pub use scoreboard::Scoreboard;
 pub use stats::{StatId, StatUnit, UnknownStat};
+pub use twophase::max_threads;
 
 /// A simulation cycle index.
 pub type Cycle = u64;

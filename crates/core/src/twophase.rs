@@ -1,11 +1,8 @@
 //! The two-phase deterministic parallel engine.
 //!
-//! The legacy parallel path ([`crate::parallel`]) decouples shards
-//! completely: each worker owns a private slice of the memory hierarchy and
-//! the shards never exchange traffic. That is fast but approximate — and
-//! its results depend on the shard count. This engine removes both
-//! caveats: there is **one** shared memory system, and simulated time
-//! advances in *synchronization quanta* ([`SyncQuantum`]):
+//! A run with more than one thread shards the GPU's SMs into contiguous
+//! groups, one worker thread each, around **one** shared memory system.
+//! Simulated time advances in *synchronization quanta* ([`SyncQuantum`]):
 //!
 //! 1. **Compute phase** — every shard worker ticks its SMs through the
 //!    quantum independently. Memory-visible events (global/local accesses)
@@ -23,14 +20,14 @@
 //! is *exact*: block dispatch, completion delivery, `can_accept`
 //! back-pressure snapshots, and deferred `Done` writebacks all line up
 //! with the sequential loop's intra-cycle step order (dispatch →
-//! deliver → tick), making the results **bit-identical** to
-//! `run_single` for any thread count — enforced by
-//! `tests/event_engine_equiv.rs`. The event-driven cycle skip is folded
-//! in: the coordinator arms jumps from the same quiet/candidate rules as
-//! the sequential engine and the workers replay their quiescent stat
-//! deltas, so quiescent shards cost no per-cycle work. Within a quantum a
-//! worker ticks only the SMs in its [`WakeSet`], the sequential loop's
-//! type, so block-less SMs cost nothing either.
+//! deliver → tick), making the results **bit-identical** to the
+//! sequential stepper ([`crate::gpu::run_kernel`]) for any thread count —
+//! enforced by `tests/event_engine_equiv.rs`. The event-driven cycle skip
+//! is folded in: the coordinator arms jumps from the same quiet/candidate
+//! rules as the sequential engine and the workers replay their quiescent
+//! stat deltas, so quiescent shards cost no per-cycle work. Within a
+//! quantum a worker ticks only the SMs in its [`WakeSet`], the sequential
+//! loop's type, so block-less SMs cost nothing either.
 //!
 //! [`SyncQuantum::Cycles`]`(q)` relaxes the hand-off: workers tick `q`
 //! cycles per phase against snapshots taken at the quantum boundary.
@@ -41,20 +38,10 @@
 //! per-SM quiescence cache keeps idle ticks cheap instead.
 
 use crate::block_scheduler::{BlockScheduler, Occupancy};
-use crate::builder::{GpuSimulator, RunDriver};
 use crate::error::SimError;
-use crate::fidelity::{
-    FidelityConfig, FrontendModelKind, MemoryModelKind, SkipPolicy, SyncQuantum,
-};
-use crate::gpu::{make_alu, merge_into, replay_quiescent, WakeSet};
-use crate::mem_system::{
-    build_analytical_memory_for, build_analytical_memory_reuse_for, CycleAccurateMemory,
-    MemCompletion, MemReply, MemorySystem,
-};
-use crate::parallel::split_sms;
-use crate::prefetch::Prefetcher;
-use crate::result::{KernelResult, SimulationResult};
-use crate::sampling::RepMeasure;
+use crate::fidelity::{FidelityConfig, FrontendModelKind, SkipPolicy, SyncQuantum};
+use crate::gpu::{make_alu, replay_quiescent, KernelOutcome, WakeSet};
+use crate::mem_system::{MemCompletion, MemReply, MemorySystem};
 use crate::scheduler::make_policy;
 use crate::sm::{SmCore, SmStats, WbTarget};
 use crate::spsc;
@@ -62,8 +49,36 @@ use crate::Cycle;
 use std::sync::mpsc;
 use swiftsim_config::GpuConfig;
 use swiftsim_mem::{FastMap, MemTxn};
-use swiftsim_metrics::{MetricsCollector, ProfModule, ProfileReport, Profiler};
-use swiftsim_trace::{KernelTrace, TraceSource};
+use swiftsim_metrics::{MetricsCollector, ProfModule, Profiler};
+use swiftsim_trace::KernelTrace;
+
+/// The worker threads a simulation will use on this host when the run is
+/// asked for automatic threading (`RunOptions::with_threads(0)`): the
+/// machine's available parallelism. The final count is additionally capped
+/// at the simulated GPU's SM count by
+/// [`GpuSimulator::try_new`](crate::GpuSimulator::try_new) — a shard needs
+/// at least one SM.
+pub fn max_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
+/// Split `total` SMs into `shards` contiguous groups of global SM ids
+/// (sizes differ by at most one), in shard order, so diagnostics name SMs
+/// a user can find. Never more groups than SMs.
+pub(crate) fn split_sms(total: usize, shards: usize) -> Vec<Vec<usize>> {
+    let shards = shards.max(1).min(total.max(1));
+    let (base, extra) = (total / shards, total % shards);
+    let mut next = 0;
+    (0..shards)
+        .map(|i| {
+            let n = base + usize::from(i < extra);
+            next += n;
+            (next - n..next).collect()
+        })
+        .collect()
+}
 
 /// One buffered memory access: everything the sequential engine would have
 /// passed to [`MemorySystem::access`], plus the writeback target filled in
@@ -205,175 +220,16 @@ impl MemorySystem for DeferredPort {
     }
 }
 
-pub(crate) fn run_two_phase(
-    sim: &GpuSimulator,
-    source: &dyn TraceSource,
-) -> Result<SimulationResult, SimError> {
-    let total_sms = sim.cfg.num_sms as usize;
-    let group_sizes = split_sms(total_sms, sim.threads);
-    let shards = group_sizes.len();
-    let sm_id_groups: Vec<Vec<usize>> = {
-        let mut next = 0usize;
-        group_sizes
-            .iter()
-            .map(|&n| {
-                let ids = (next..next + n).collect();
-                next += n;
-                ids
-            })
-            .collect()
-    };
-    let quantum: Cycle = match sim.fidelity.sync_quantum {
-        SyncQuantum::PerCycle => 1,
-        SyncQuantum::Cycles(n) => Cycle::from(n),
-        SyncQuantum::Unsynchronized => {
-            unreachable!("builder dispatches Unsynchronized to run_parallel")
-        }
-    };
-
-    let total = source.num_kernels();
-    let mut driver = RunDriver::new(sim, source)?;
-
-    // One shared memory system, built exactly as the single-threaded path
-    // builds its — the whole point of the engine.
-    let mut mem: Box<dyn MemorySystem> = match sim.fidelity.memory {
-        MemoryModelKind::CycleAccurate => Box::new(CycleAccurateMemory::new(&sim.cfg)),
-        MemoryModelKind::Analytical => {
-            build_analytical_memory_for(&sim.cfg, source, &driver.prepass_indices(total))?
-        }
-        MemoryModelKind::AnalyticalReuse => {
-            build_analytical_memory_reuse_for(&sim.cfg, source, &driver.prepass_indices(total))?
-        }
-    };
-    driver.restore_memory(mem.as_mut())?;
-
-    // Shard workers render on tracks 0..shards, the coordinator (phase
-    // sync, block scheduler, memory) on the next track, decode on the one
-    // after; one epoch lines the frames up.
-    let epoch = std::time::Instant::now();
-    let mut worker_profs: Vec<Profiler> = (0..shards)
-        .map(|i| {
-            if sim.profile {
-                Profiler::enabled_on_track(epoch, i)
-            } else {
-                Profiler::disabled()
-            }
-        })
-        .collect();
-    let mut prof = if sim.profile {
-        Profiler::enabled_on_track(epoch, shards)
-    } else {
-        Profiler::disabled()
-    };
-    let decode_prof = if sim.profile {
-        Profiler::enabled_on_track(epoch, shards + 1)
-    } else {
-        Profiler::disabled()
-    };
-    mem.set_profiling(sim.profile);
-
-    std::thread::scope(|dscope| {
-        let mut pf = Prefetcher::with_schedule(
-            dscope,
-            source,
-            decode_prof,
-            source.prefers_prefetch(),
-            driver.decode_schedule(total),
-        );
-        let (mut start, mut total_stats, mut kernels) = driver.initial();
-
-        for kidx in driver.start_kernel()..total {
-            if driver.is_detailed(kidx) {
-                let kernel = pf.get(kidx)?;
-                let kernel = &*kernel;
-                let outcome = run_kernel_two_phase(
-                    &sim.cfg,
-                    kernel,
-                    kidx,
-                    &sm_id_groups,
-                    quantum,
-                    sim.fidelity,
-                    mem.as_mut(),
-                    &mut worker_profs,
-                    &mut prof,
-                    start,
-                )?;
-                let measure = RepMeasure {
-                    cycles: outcome.end_cycle - start,
-                    stats: outcome.stats,
-                    instructions: outcome.stats.issued,
-                    blocks: kernel.blocks().len() as u64,
-                };
-                driver.record(kidx, measure);
-                kernels.push(KernelResult {
-                    name: kernel.name.clone(),
-                    cycles: measure.cycles,
-                    instructions: measure.instructions,
-                    blocks: measure.blocks,
-                });
-                merge_into(&mut total_stats, outcome.stats);
-                start = outcome.end_cycle;
-            } else {
-                // Replayed launch: synthesized from its cluster's
-                // representatives, trace body never decoded.
-                let replayed = driver.replay(kidx);
-                kernels.push(KernelResult {
-                    name: source.kernel_meta(kidx).name,
-                    cycles: replayed.cycles,
-                    instructions: replayed.instructions,
-                    blocks: replayed.blocks,
-                });
-                total_stats.add(&replayed.stats);
-                start += replayed.cycles;
-            }
-            if !driver.boundary(kidx, start, &total_stats, &kernels, mem.as_ref())? {
-                break;
-            }
-        }
-
-        let mut metrics = MetricsCollector::new();
-        crate::builder::report_common(&mut metrics, start, &total_stats, sim);
-        // One memory system, so its metrics land unscoped, exactly like a
-        // single-threaded run — no `shard*` prefixes to reconcile.
-        mem.report(&mut metrics);
-
-        let profile = sim.profile.then(|| {
-            ProfileReport::merge(
-                worker_profs
-                    .into_iter()
-                    .chain([prof, pf.finish()])
-                    .map(Profiler::into_report)
-                    .collect(),
-            )
-        });
-        let confidence = driver.confidence(&kernels);
-
-        Ok(SimulationResult {
-            app: source.name().to_owned(),
-            simulator: format!("{}@{}threads", sim.description(), shards),
-            fidelity: sim.fidelity,
-            cycles: start,
-            kernels,
-            metrics,
-            wall_time: std::time::Duration::ZERO, // filled by run()
-            confidence,
-            profile,
-        })
-    })
-}
-
-struct KernelOutcome {
-    end_cycle: Cycle,
-    stats: SmStats,
-}
-
+/// Simulate one kernel with one worker thread per SM group of
+/// `sm_id_groups` (from [`split_sms`]), committing to the shared `mem`
+/// every `fidelity.sync_quantum`. Workers profile into `worker_profs`, one
+/// per group; the coordinator into `prof`, whose frame the caller opens.
 #[allow(clippy::too_many_arguments)]
-fn run_kernel_two_phase(
+pub(crate) fn run_kernel_two_phase(
     cfg: &GpuConfig,
     kernel: &KernelTrace,
     kidx: usize,
     sm_id_groups: &[Vec<usize>],
-    quantum: Cycle,
     fidelity: FidelityConfig,
     mem: &mut dyn MemorySystem,
     worker_profs: &mut [Profiler],
@@ -392,6 +248,10 @@ fn run_kernel_two_phase(
     }
     let occupancy = Occupancy::compute(&cfg.sm, kernel)?;
     let warps_per_block = kernel.blocks().first().map_or(0, |b| b.warps().len());
+    let quantum: Cycle = match fidelity.sync_quantum {
+        SyncQuantum::PerCycle => 1,
+        SyncQuantum::Cycles(n) => Cycle::from(n),
+    };
     let shards = sm_id_groups.len();
     let total_sms: usize = sm_id_groups.iter().map(Vec::len).sum();
 
@@ -412,7 +272,6 @@ fn run_kernel_two_phase(
     let mut bs = BlockScheduler::new(total_sms, kernel.blocks().len(), occupancy.blocks_per_sm);
     let mut pending_dones: Vec<Vec<DeferredDone>> = (0..shards).map(|_| Vec::new()).collect();
 
-    prof.begin_frame(&format!("k{kidx}:{}", kernel.name));
     let (end, exits) = std::thread::scope(|scope| {
         let handles: Vec<_> = worker_profs
             .iter_mut()
@@ -462,8 +321,6 @@ fn run_kernel_two_phase(
         let exits: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
         (end, exits)
     });
-    mem.report_profile(prof);
-    prof.end_frame();
 
     // Surface a worker panic over any other outcome — it is the root cause.
     if let Some((shard, payload)) = exits
@@ -482,7 +339,7 @@ fn run_kernel_two_phase(
         CoordEnd::Finished { end } => {
             let mut stats = SmStats::default();
             for e in &exits {
-                merge_into(&mut stats, e.stats);
+                stats.add(&e.stats);
             }
             Ok(KernelOutcome {
                 end_cycle: end,
@@ -823,5 +680,28 @@ fn worker_loop(
     WorkerExit {
         stats,
         stalled: sms.iter().find_map(SmCore::oldest_stalled),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn split_sms_balances() {
+        let sizes = |total, shards| -> Vec<usize> {
+            split_sms(total, shards).iter().map(Vec::len).collect()
+        };
+        assert_eq!(sizes(68, 4), vec![17, 17, 17, 17]);
+        assert_eq!(sizes(7, 3), vec![3, 2, 2]);
+        assert_eq!(sizes(2, 8), vec![1, 1], "never more shards than SMs");
+        assert_eq!(sizes(5, 1), vec![5]);
+        // Contiguous global ids in shard order.
+        assert_eq!(split_sms(7, 3), vec![vec![0, 1, 2], vec![3, 4], vec![5, 6]]);
+    }
+
+    #[test]
+    fn max_threads_is_positive() {
+        assert!(max_threads() >= 1);
     }
 }

@@ -89,7 +89,8 @@ fn app_wedged_on_second_sm() -> ApplicationTrace {
 }
 
 /// Regression: sharded runs must report the *global* SM id of the stalled
-/// warp, on both parallel engines. An earlier revision printed the
+/// warp, under per-cycle and relaxed sync quanta (the latter detects the
+/// deadlock through its own branch). An earlier revision printed the
 /// shard-local index, which on any shard but the first names the wrong SM.
 #[test]
 fn sharded_deadlock_reports_global_sm_ids() {
@@ -98,7 +99,7 @@ fn sharded_deadlock_reports_global_sm_ids() {
     cfg.memory.partitions = 2;
     cfg.sm.max_blocks = 1; // one slot per SM: block 1 must land on SM 1
 
-    for quantum in [SyncQuantum::PerCycle, SyncQuantum::Unsynchronized] {
+    for quantum in [SyncQuantum::PerCycle, SyncQuantum::Cycles(8)] {
         let mut fidelity = swiftsim_core::FidelityConfig::for_preset(SimulatorPreset::SwiftBasic);
         fidelity.sync_quantum = quantum;
         let err = swiftsim_core::run(

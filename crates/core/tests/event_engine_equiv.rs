@@ -317,14 +317,6 @@ fn relaxed_quantum_is_deterministic_and_opt_in() {
         "relaxed quantum must be visible in the simulator label: {}",
         a.simulator
     );
-
-    // The legacy decoupled-shard engine stays reachable behind the same
-    // knob and is equally deterministic.
-    fid.sync_quantum = SyncQuantum::Unsynchronized;
-    let a = run_with(&cfg, fid, 2, &app);
-    let b = run_with(&cfg, fid, 2, &app);
-    assert_stats_equal(&a, &b, "unsynchronized legacy engine, identical runs");
-    assert!(a.simulator.contains("+unsync"), "{}", a.simulator);
 }
 
 #[test]
@@ -358,21 +350,38 @@ fn event_engine_matches_dense_on_custom_hybrids() {
     }
 }
 
-/// A deterministic hand-rolled config sweep: the proptest-based version
-/// below explores further, but this one always runs, even offline.
+/// A tiny xorshift64 generator, so randomized inputs are varied but
+/// reproducible from their seed.
+struct XorShift(u64);
+
+impl XorShift {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    /// A draw from `0..bound`.
+    fn below(&mut self, bound: u64) -> u64 {
+        self.next() % bound
+    }
+
+    /// A draw from `lo..hi`.
+    fn range(&mut self, lo: u64, hi: u64) -> u64 {
+        lo + self.below(hi - lo)
+    }
+}
+
+/// A deterministic hand-rolled config sweep over one workload; the
+/// randomized cases below also draw the traces.
 #[test]
 fn event_engine_matches_dense_under_config_perturbations() {
     let app = swiftsim_workloads::by_name("bfs")
         .expect("workload exists")
         .generate(Scale::Tiny);
-    // A tiny xorshift so the perturbations are varied but reproducible.
-    let mut state = 0x5eed_cafe_u64;
-    let mut next = move |bound: u64| {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state % bound
-    };
+    let mut rng = XorShift(0x5eed_cafe);
+    let mut next = |bound: u64| rng.below(bound);
     for round in 0..6 {
         let mut cfg = small_gpu();
         cfg.num_sms = 2 + next(3) as u32; // 2..=4
@@ -420,16 +429,33 @@ fn event_engine_is_the_default_everywhere() {
     );
 }
 
-/// Randomized traces *and* configs, property-test style. Needs the external
-/// `proptest` crate (not vendored in offline builds): enable the crate's
-/// `proptest` feature after restoring the dev-dependency.
-#[cfg(feature = "proptest")]
+/// Randomized traces *and* configs, property-test style: each case is
+/// drawn from its own seed, which a failing case prints (in its assertion
+/// message, and on stderr before the case runs) so it can be replayed.
+/// One or two block slots per SM spread up to eight blocks over several
+/// SMs (and shards), in one or more waves.
 mod randomized {
     use super::*;
-    use proptest::prelude::*;
-    use swiftsim_trace::{ApplicationTrace, InstBuilder, KernelTrace, Opcode};
 
-    fn build_app(blocks: u32, warps: u32, bodies: &[Vec<(u8, u64)>]) -> ApplicationTrace {
+    /// Cases per property.
+    const CASES: u64 = 16;
+
+    /// The seed of case `case` of the property salted with `salt`.
+    fn seed(salt: u64, case: u64) -> u64 {
+        (salt ^ case.wrapping_mul(0x9e37_79b9_7f4a_7c15)) | 1
+    }
+
+    /// A one-kernel app of `blocks` x `warps` warps whose bodies cycle
+    /// through 1-3 random instruction sequences of 1-15 loads, stores,
+    /// barriers and FP ops.
+    fn random_app(rng: &mut XorShift, blocks: u32, warps: u32) -> ApplicationTrace {
+        let bodies: Vec<Vec<(u64, u64)>> = (0..rng.range(1, 4))
+            .map(|_| {
+                (0..rng.range(1, 16))
+                    .map(|_| (rng.below(5), rng.next()))
+                    .collect()
+            })
+            .collect();
         let mut kernel = KernelTrace::new("equiv", (blocks, 1, 1), (warps * 32, 1, 1));
         for b in 0..blocks {
             let block = kernel.push_block();
@@ -461,72 +487,72 @@ mod randomized {
         ApplicationTrace::new("equiv", vec![kernel])
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
-
-        #[test]
-        fn random_configs_and_traces_are_skip_policy_invariant(
-            blocks in 1u32..5,
-            warps in 1u32..4,
-            num_sms in 1u32..4,
-            preset_sel in 0u8..3,
-            bodies in prop::collection::vec(
-                prop::collection::vec((0u8..5, any::<u64>()), 1..16),
-                1..4,
-            ),
-        ) {
-            let mut cfg = super::small_gpu();
-            cfg.num_sms = num_sms;
-            cfg.memory.partitions = num_sms;
-            let preset = match preset_sel {
+    #[test]
+    fn random_configs_and_traces_are_skip_policy_invariant() {
+        for case in 0..CASES {
+            let seed = seed(0x5ce7_0001, case);
+            eprintln!("case seed {seed:#x}");
+            let mut rng = XorShift(seed);
+            let blocks = rng.range(1, 9) as u32;
+            let warps = rng.range(1, 4) as u32;
+            let mut cfg = small_gpu();
+            cfg.num_sms = rng.range(1, 4) as u32;
+            cfg.memory.partitions = cfg.num_sms;
+            cfg.sm.max_blocks = rng.range(1, 3) as u32;
+            let preset = match rng.below(3) {
                 0 => SimulatorPreset::Detailed,
                 1 => SimulatorPreset::SwiftBasic,
                 _ => SimulatorPreset::SwiftMemory,
             };
-            let app = build_app(blocks, warps, &bodies);
-            let (dense, event) = super::preset_pair(preset);
-            let a = super::run_with(&cfg, dense, 1, &app);
-            let b = super::run_with(&cfg, event, 1, &app);
-            prop_assert_eq!(a.cycles, b.cycles);
-            prop_assert_eq!(&a.kernels, &b.kernels);
-            prop_assert_eq!(&a.metrics, &b.metrics);
+            let app = random_app(&mut rng, blocks, warps);
+            let (dense, event) = preset_pair(preset);
+            assert_stats_equal(
+                &run_with(&cfg, dense, 1, &app),
+                &run_with(&cfg, event, 1, &app),
+                &format!(
+                    "seed {seed:#x}: {preset:?}, {} SMs x {} slots, {blocks}x{warps} warps",
+                    cfg.num_sms, cfg.sm.max_blocks
+                ),
+            );
         }
+    }
 
-        /// Randomized synchronization quanta: per-cycle commits must stay
-        /// bit-identical to single-threaded for any trace, and relaxed
-        /// quanta must stay deterministic run-to-run.
-        #[test]
-        fn random_quanta_are_deterministic(
-            quantum in 2u32..48,
-            threads in 2usize..5,
-            blocks in 1u32..5,
-            warps in 1u32..4,
-            bodies in prop::collection::vec(
-                prop::collection::vec((0u8..5, any::<u64>()), 1..16),
-                1..4,
-            ),
-        ) {
-            let cfg = super::small_gpu(); // 4 SMs
-            let threads = threads.min(4);
-            let app = build_app(blocks, warps, &bodies);
+    /// Randomized synchronization quanta: per-cycle commits must stay
+    /// bit-identical to single-threaded for any trace, and relaxed
+    /// quanta must stay deterministic run-to-run.
+    #[test]
+    fn random_quanta_are_deterministic() {
+        for case in 0..CASES {
+            let seed = seed(0x5ce7_0002, case);
+            eprintln!("case seed {seed:#x}");
+            let mut rng = XorShift(seed);
+            let quantum = rng.range(2, 48) as u32;
+            let threads = rng.range(2, 5) as usize;
+            let mut cfg = small_gpu(); // 4 SMs
+            cfg.sm.max_blocks = rng.range(1, 3) as u32;
+            let blocks = rng.range(1, 9) as u32;
+            let warps = rng.range(1, 4) as u32;
+            let app = random_app(&mut rng, blocks, warps);
+            let ctx = format!(
+                "seed {seed:#x}: {threads} threads, {blocks}x{warps} warps, {} slots/SM",
+                cfg.sm.max_blocks
+            );
 
             let mut per_cycle = FidelityConfig::for_preset(SimulatorPreset::SwiftBasic);
             per_cycle.sync_quantum = SyncQuantum::PerCycle;
-            let mut reference = super::run_with(&cfg, per_cycle, 1, &app);
-            let mut sharded = super::run_with(&cfg, per_cycle, threads, &app);
-            reference.metrics.set("sim.threads", super::Value::Count(0));
-            sharded.metrics.set("sim.threads", super::Value::Count(0));
-            prop_assert_eq!(reference.cycles, sharded.cycles);
-            prop_assert_eq!(&reference.kernels, &sharded.kernels);
-            prop_assert_eq!(&reference.metrics, &sharded.metrics);
+            let mut reference = run_with(&cfg, per_cycle, 1, &app);
+            let mut sharded = run_with(&cfg, per_cycle, threads, &app);
+            reference.metrics.set("sim.threads", Value::Count(0));
+            sharded.metrics.set("sim.threads", Value::Count(0));
+            assert_stats_equal(&reference, &sharded, &format!("{ctx}, per-cycle vs single"));
 
             let mut relaxed = per_cycle;
             relaxed.sync_quantum = SyncQuantum::Cycles(quantum);
-            let a = super::run_with(&cfg, relaxed, threads, &app);
-            let b = super::run_with(&cfg, relaxed, threads, &app);
-            prop_assert_eq!(a.cycles, b.cycles);
-            prop_assert_eq!(&a.kernels, &b.kernels);
-            prop_assert_eq!(&a.metrics, &b.metrics);
+            assert_stats_equal(
+                &run_with(&cfg, relaxed, threads, &app),
+                &run_with(&cfg, relaxed, threads, &app),
+                &format!("{ctx}, quantum {quantum} run twice"),
+            );
         }
     }
 }

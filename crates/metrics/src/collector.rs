@@ -115,14 +115,6 @@ impl MetricsCollector {
         self.values.is_empty()
     }
 
-    /// Merge all metrics from `other` under the given prefix. Useful when a
-    /// parallel simulation joins per-thread collectors.
-    pub fn absorb(&mut self, prefix: &str, other: &MetricsCollector) {
-        for (k, v) in other.iter() {
-            self.values.insert(format!("{prefix}.{k}"), v);
-        }
-    }
-
     /// Sum a `Count`/`Cycles` metric across all scopes whose key ends with
     /// `suffix` (e.g. `".l1.misses"` across every SM).
     pub fn sum_by_suffix(&self, suffix: &str) -> u64 {
@@ -289,15 +281,6 @@ mod tests {
         }
         assert_eq!(c.count("sm3.issued"), Some(10));
         assert_eq!(c.ratio("sm3.l1.miss_rate"), Some(0.25));
-    }
-
-    #[test]
-    fn absorb_prefixes() {
-        let mut worker = MetricsCollector::new();
-        worker.set("cycles", Value::Cycles(99));
-        let mut main = MetricsCollector::new();
-        main.absorb("kernel1", &worker);
-        assert_eq!(main.cycles("kernel1.cycles"), Some(99));
     }
 
     #[test]

@@ -141,10 +141,12 @@ impl Json {
     ///
     /// Returns a description of the first syntax error, with its byte
     /// offset.
+    /// Arrays and objects may nest at most 128 levels deep; deeper input is
+    /// an error rather than a stack overflow.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, MAX_JSON_DEPTH)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -186,8 +188,19 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// The deepest array/object nesting [`Json::parse`] accepts. The documents
+/// this workspace writes nest fewer than ten levels; the bound keeps the
+/// recursive parser's stack use small on any thread, whatever a peer sends.
+const MAX_JSON_DEPTH: usize = 128;
+
+/// Parse one value; `depth` is how many more arrays/objects may open.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == 0 {
+        return Err(format!(
+            "nesting deeper than {MAX_JSON_DEPTH} levels at byte {pos}"
+        ));
+    }
     match bytes.get(*pos) {
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
@@ -202,7 +215,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth - 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -227,7 +240,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth - 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -400,5 +413,18 @@ mod tests {
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("{} extra").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_JSON_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let objects = "{\"k\":".repeat(MAX_JSON_DEPTH + 1) + "1" + &"}".repeat(MAX_JSON_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
+        // One level per byte: an unbounded recursive parse would overflow
+        // the thread's stack.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
     }
 }

@@ -7,7 +7,7 @@
 //! Property-based tests for the Metrics Gatherer's aggregation helpers.
 
 use proptest::prelude::*;
-use swiftsim_metrics::{geomean, mean, mean_abs, rel_error, MetricsCollector, Value};
+use swiftsim_metrics::{geomean, mean, mean_abs, rel_error, MetricsCollector};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -56,20 +56,5 @@ proptest! {
         }
         prop_assert_eq!(forward.count("x"), Some(total));
         prop_assert_eq!(backward.count("x"), Some(total));
-    }
-
-    /// Absorbing worker collectors preserves every entry under its prefix.
-    #[test]
-    fn absorb_preserves_entries(values in prop::collection::vec(0u64..1000, 1..20)) {
-        let mut main = MetricsCollector::new();
-        for (i, &v) in values.iter().enumerate() {
-            let mut worker = MetricsCollector::new();
-            worker.set("cycles", Value::Cycles(v));
-            main.absorb(&format!("w{i}"), &worker);
-        }
-        for (i, &v) in values.iter().enumerate() {
-            prop_assert_eq!(main.cycles(&format!("w{i}.cycles")), Some(v));
-        }
-        prop_assert_eq!(main.len(), values.len());
     }
 }

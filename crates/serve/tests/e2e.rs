@@ -494,6 +494,18 @@ fn protocol_errors_are_answered_not_fatal() {
         .unwrap();
     assert_eq!(ghost.get("ok"), Some(&Json::Bool(false)));
 
+    // A 100 KB line of nested arrays from another connection: the parser
+    // refuses it instead of recursing once per byte on the connection's
+    // thread. That connection gets no `ok` reply; this one is unaffected.
+    {
+        let mut hostile = TcpStream::connect(&addr).unwrap();
+        hostile.write_all("[".repeat(100_000).as_bytes()).unwrap();
+        hostile.write_all(b"\n").unwrap();
+        let mut reply = String::new();
+        let _ = BufReader::new(hostile).read_line(&mut reply);
+        assert!(!reply.contains("\"ok\":true"), "{reply}");
+    }
+
     // The connection and daemon survived all of it.
     assert_eq!(client.ping().unwrap(), 2);
     client.shutdown().unwrap();
